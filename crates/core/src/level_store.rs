@@ -198,6 +198,58 @@ impl LevelStore {
         acc
     }
 
+    /// Word-XOR diff against a same-shaped store: the `(pw, mask)`
+    /// pairs of every 64-node word `pw` that differs, ascending, where
+    /// bit `j` of `mask` is set iff the level at `64·pw + j` differs.
+    /// Runs of identical words are skipped a block at a time by slice
+    /// compare; trailing fields are zero in both stores, so they never
+    /// show as a difference.
+    ///
+    /// # Panics
+    ///
+    /// If the two stores differ in length or level ceiling.
+    pub fn diff_words<'a>(
+        &'a self,
+        other: &'a LevelStore,
+    ) -> impl Iterator<Item = (usize, u64)> + 'a {
+        assert!(
+            self.len == other.len && self.max_level == other.max_level,
+            "diff_words needs two stores of the same shape"
+        );
+        /// 64-node words per compared block (512 bytes of nibbles).
+        const BLOCK: usize = 16;
+        let words = self.len.div_ceil(BITS_PER_WORD) as usize;
+        (0..words).step_by(BLOCK).flat_map(move |start| {
+            let end = (start + BLOCK).min(words);
+            let nib = start * 4..(end * 4).min(self.nibbles.len());
+            let same = self.nibbles[nib.clone()] == other.nibbles[nib]
+                && (self.high.is_empty() || self.high[start..end] == other.high[start..end]);
+            let block = if same { end..end } else { start..end };
+            block.filter_map(move |pw| {
+                let mask = self.diff_word(other, pw);
+                (mask != 0).then_some((pw, mask))
+            })
+        })
+    }
+
+    /// One 64-node word of [`diff_words`](Self::diff_words).
+    fn diff_word(&self, other: &LevelStore, pw: usize) -> u64 {
+        let lo = pw * 4;
+        let hi = (lo + 4).min(self.nibbles.len());
+        let mut diff = 0u64;
+        for (q, (a, b)) in self.nibbles[lo..hi]
+            .iter()
+            .zip(&other.nibbles[lo..hi])
+            .enumerate()
+        {
+            diff |= nibble_nonzero_mask(a ^ b) << (16 * q);
+        }
+        if !self.high.is_empty() {
+            diff |= self.high[pw] ^ other.high[pw];
+        }
+        diff
+    }
+
     /// The equality bitmask for 64-node word `pw`: bit `j` is set iff
     /// level `64·pw + j` equals `l`. The workhorse behind
     /// [`count_eq`](Self::count_eq) and [`iter_eq`](Self::iter_eq) —
@@ -246,19 +298,22 @@ impl Iterator for SetBits {
 }
 
 /// Bitmask (16 result bits) of which 4-bit fields of `w` equal `nib`:
-/// XOR against a broadcast of `nib`, then collapse each zero field to
-/// a single set bit via the standard SWAR zero-field test.
+/// XOR against a broadcast of `nib`, then complement the per-field
+/// nonzero test.
 #[inline]
 fn nibble_eq_mask(w: u64, nib: u8) -> u64 {
-    let x = w ^ (0x1111_1111_1111_1111u64 * nib as u64);
-    // Exact per-field zero test (no cross-field borrows, unlike the
-    // classic `(x - 1…1) & !x & 8…8` which false-positives on a 1
-    // field after a 0 field): bit 3 of `(x&m)+m` is set iff the low
-    // three bits are nonzero, so the complement AND `!x` isolates
-    // all-zero fields.
+    nibble_nonzero_mask(w ^ (0x1111_1111_1111_1111u64 * nib as u64)) ^ 0xFFFF
+}
+
+/// Bitmask (16 result bits) of which 4-bit fields of `x` are nonzero.
+/// Exact per field (no cross-field borrows, unlike the classic
+/// `(x - 1…1) & !x & 8…8` zero test, which false-positives on a 1
+/// field after a 0 field): bit 3 of `(x&m)+m` is set iff a field's
+/// low three bits are nonzero, and OR-ing `x` adds its bit 3.
+#[inline]
+fn nibble_nonzero_mask(x: u64) -> u64 {
     const M: u64 = 0x7777_7777_7777_7777;
-    let z = !(((x & M) + M) | x | M);
-    compact16(z, 3)
+    compact16(((x & M) + M) | x, 3)
 }
 
 /// Mask of the low `k` bits (`k ≤ 64`), shift-overflow safe.
@@ -631,6 +686,33 @@ mod tests {
         let s = LevelStore::from_levels(10, &[0, 0, 0, 0, 0]);
         assert_eq!(s.count_eq(0), 5);
         assert_eq!(s.iter_eq(0).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn diff_words_flags_exactly_the_changed_levels() {
+        // Below and above the fifth-bit ceiling, with a partial last
+        // word: each changed index flips one level bit (bit 4 lives in
+        // the high plane), and exactly the changed indices show.
+        for (max, len) in [(15u8, 100u64), (20, 200)] {
+            let mut base: Vec<Level> = (0..len)
+                .map(|i| (i * 7 % (max as u64 + 1)) as Level)
+                .collect();
+            let changed = [0u64, 15, 16, 63, 64, len - 1];
+            for &i in &changed {
+                base[i as usize] = 0;
+            }
+            let a = LevelStore::from_levels(max, &base);
+            let mut b = a.clone();
+            for (k, &i) in changed.iter().enumerate() {
+                b.set(i, 1 << (k % if max > 15 { 5 } else { 4 }));
+            }
+            let got: Vec<u64> = a
+                .diff_words(&b)
+                .flat_map(|(pw, m)| SetBits(m).map(move |j| pw as u64 * 64 + j as u64))
+                .collect();
+            assert_eq!(got, changed, "max={max}");
+            assert_eq!(a.diff_words(&a).count(), 0);
+        }
     }
 
     #[test]

@@ -507,20 +507,77 @@ impl SafetyMap {
 
     /// Verifies that this map satisfies Definition 1 for `cfg` — i.e.
     /// that it is *the* fixed point promised by Theorem 1. Returns the
-    /// first violating node, if any.
+    /// lowest violating node, if any. This full-scope scan is the
+    /// oracle [`SafetyMap::check_fixed_point_since`] is held to.
     pub fn check_fixed_point(&self, cfg: &FaultConfig) -> Option<NodeId> {
+        cfg.cube().nodes().find(|&a| self.violates(cfg, a))
+    }
+
+    /// [`SafetyMap::check_fixed_point`] scoped to what changed since a
+    /// parent map that already passed it: checks only `D ∪ N(D)`, where
+    /// `D` holds the cells whose level or fault bit differs between
+    /// `(parent_cfg, parent)` and `(cfg, self)`.
+    ///
+    /// Definition 1's rule at a node reads only its fault bit, its own
+    /// level and its `n` neighbors' levels, so a node outside
+    /// `D ∪ N(D)` sees exactly the inputs it passed on in the parent.
+    /// Every violation therefore lies in `D ∪ N(D)`, and the lowest one
+    /// found there is the lowest one overall: same answer as the full
+    /// scan, provided the parent really is the fixed point of
+    /// `parent_cfg`. `D` comes from a word-XOR diff of the two level
+    /// stores and fault sets, never from a maintenance log, so a wrong
+    /// incremental update is still caught. Cost: `O(2ⁿ/16)` word XORs
+    /// plus `O(|D|·n²)` rule evaluations.
+    ///
+    /// # Panics
+    ///
+    /// If `parent` is a map of another cube.
+    pub fn check_fixed_point_since(
+        &self,
+        cfg: &FaultConfig,
+        parent: &SafetyMap,
+        parent_cfg: &FaultConfig,
+    ) -> Option<NodeId> {
         let cube = cfg.cube();
-        for a in cube.nodes() {
-            let want = if cfg.node_faulty(a) {
-                0
-            } else {
-                level_from_unsorted(self.n, cube.neighbors(a).map(|b| self.level(b)))
-            };
-            if self.level(a) != want {
-                return Some(a);
+        // Fault bits, compared 16 words at a time like the stores.
+        let fault_diff = cfg
+            .node_faults()
+            .words()
+            .chunks(16)
+            .zip(parent_cfg.node_faults().words().chunks(16))
+            .enumerate()
+            .filter(|(_, (f, pf))| f != pf)
+            .flat_map(|(block, (f, pf))| {
+                (0..f.len().min(pf.len()))
+                    .map(move |i| (block * 16 + i, f[i] ^ pf[i]))
+                    .filter(|&(_, x)| x != 0)
+            });
+        let mut lowest: Option<NodeId> = None;
+        for (pw, mut changed) in self.levels.diff_words(&parent.levels).chain(fault_diff) {
+            while changed != 0 {
+                let c = NodeId::new(pw as u64 * 64 + changed.trailing_zeros() as u64);
+                changed &= changed - 1;
+                for a in std::iter::once(c).chain(cube.neighbors(c)) {
+                    if lowest.is_none_or(|l| a < l) && self.violates(cfg, a) {
+                        lowest = Some(a);
+                    }
+                }
             }
         }
-        None
+        lowest
+    }
+
+    /// Definition 1 at one node: the single rule both audit scopes
+    /// apply. Faulty nodes must read 0, healthy ones the level their
+    /// neighbors' levels dictate.
+    #[inline]
+    fn violates(&self, cfg: &FaultConfig, a: NodeId) -> bool {
+        let want = if cfg.node_faulty(a) {
+            0
+        } else {
+            level_from_unsorted(self.n, cfg.cube().neighbors(a).map(|b| self.level(b)))
+        };
+        self.level(a) != want
     }
 }
 
@@ -773,6 +830,31 @@ mod tests {
         levels[0] = 1; // corrupt node 0000
         let bad = SafetyMap::from_levels(cfg.cube(), levels);
         assert_eq!(bad.check_fixed_point(&cfg), Some(NodeId::ZERO));
+    }
+
+    #[test]
+    fn delta_audit_reports_the_lowest_violation_like_the_full_scan() {
+        // Fig. 1's map passes both scopes against itself; a wrong level
+        // planted at 1100 makes 1100 the lowest violation of the full
+        // scan, and the delta scope finds it from the store diff alone.
+        let cfg = cfg4(&["0011", "0100", "0110", "1001"]);
+        let m = SafetyMap::compute(&cfg);
+        assert_eq!(m.check_fixed_point_since(&cfg, &m, &cfg), None);
+        let mut levels = m.to_vec();
+        levels[0b1100] = 1;
+        let bad = SafetyMap::from_levels(cfg.cube(), levels);
+        let full = bad.check_fixed_point(&cfg);
+        assert!(full.is_some());
+        assert_eq!(bad.check_fixed_point_since(&cfg, &m, &cfg), full);
+        // A fault bit flipped with no level change is in D too: the
+        // newly faulty 1111 still reads 4.
+        let mut faulty = cfg.clone();
+        faulty.node_faults_mut().insert(n("1111"));
+        assert_eq!(m.check_fixed_point(&faulty), Some(n("1111")));
+        assert_eq!(
+            m.check_fixed_point_since(&faulty, &m, &cfg),
+            Some(n("1111"))
+        );
     }
 
     #[test]

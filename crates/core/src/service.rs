@@ -23,9 +23,28 @@
 //!   [`crate::reroute::route_dynamic`] against the live fault set.
 //!
 //! The epoch invariant checked at every quiescent point: the published
-//! map is the exact Definition-1 fixed point of the published config
-//! ([`SafetyMap::check_fixed_point`]), and the published fault set
-//! converges to the live one once the pending queue drains.
+//! map is the exact Definition-1 fixed point of the published config,
+//! and the published fault set equals the live one once the pending
+//! queue drains.
+//!
+//! The fixed-point half is a *delta-scoped audit*, exact by induction
+//! over the epochs the service has proven. Base: the first
+//! [`RouteProvider::check_invariants`] call runs the full scan
+//! ([`SafetyMap::check_fixed_point`]) on whatever is published. Step:
+//! every later call checks the current snapshot against `verified`,
+//! the last snapshot that passed, with
+//! [`SafetyMap::check_fixed_point_since`]. Definition 1 at a node reads
+//! only its fault bit, its level and its neighbors' levels, so by
+//! Theorem 1's uniqueness a node outside `D ∪ N(D)` still passes, where
+//! `D` is the set of cells whose level or fault bit differs from
+//! `verified`. `D` is diffed out of the two snapshots' stores and fault
+//! sets, never read from the [`crate::safety_delta::DeltaStats`] of the
+//! publications in between, so a wrong delta is caught like any other
+//! corruption. `verified` advances only past a passing map: a corrupt
+//! epoch stays in `D` for every epoch published on top of it, and each
+//! of those checks fails with the same node and message the full scan
+//! would give. Cost per call: an `O(2ⁿ/16)` word diff plus
+//! `O(|D|·n²)` rule evaluations, instead of `O(2ⁿ·n)` for the scan.
 
 use crate::multipath::route_disjoint;
 use crate::navigation::NavVector;
@@ -69,6 +88,10 @@ pub struct SafetyService {
     cells_changed: u64,
     /// Test hook: archive of every published snapshot (epoch order).
     archive: Option<Vec<Arc<Epoch<SafetyState>>>>,
+    /// The last snapshot whose map passed the fixed-point audit — the
+    /// base the next audit diffs against. `None` until the first
+    /// (full) audit.
+    verified: Option<Arc<Epoch<SafetyState>>>,
 }
 
 impl SafetyService {
@@ -94,6 +117,7 @@ impl SafetyService {
             detours: 0,
             cells_changed: 0,
             archive: None,
+            verified: None,
         }
     }
 
@@ -354,25 +378,38 @@ impl RouteProvider for SafetyService {
 
     fn check_invariants(&mut self) -> Result<(), String> {
         let snap = self.epochs.load();
-        if let Some(node) = snap.data.map.check_fixed_point(&snap.data.cfg) {
+        let state = &snap.data;
+        let violation = match &self.verified {
+            None => state.map.check_fixed_point(&state.cfg),
+            Some(base) => {
+                state
+                    .map
+                    .check_fixed_point_since(&state.cfg, &base.data.map, &base.data.cfg)
+            }
+        };
+        if let Some(node) = violation {
             return Err(format!(
                 "epoch {}: published map is not the fixed point of its config at node {node}",
                 snap.epoch
             ));
         }
-        if self.pending.is_empty() {
+        let faults = state.cfg.node_faults();
+        let result = if self.pending.is_empty() && self.live.node_faults() != faults {
             // Quiescent writer: the published epoch must have caught
             // up with the live fault set exactly.
             let live: Vec<NodeId> = self.live.node_faults().iter().collect();
-            let snap_faults: Vec<NodeId> = snap.data.cfg.node_faults().iter().collect();
-            if live != snap_faults {
-                return Err(format!(
-                    "epoch {}: published faults {:?} diverge from live {:?} with no pending delta",
-                    snap.epoch, snap_faults, live
-                ));
-            }
-        }
-        Ok(())
+            let snap_faults: Vec<NodeId> = faults.iter().collect();
+            Err(format!(
+                "epoch {}: published faults {:?} diverge from live {:?} with no pending delta",
+                snap.epoch, snap_faults, live
+            ))
+        } else {
+            Ok(())
+        };
+        // The map is proven, so it is the next audit's base whatever
+        // the fault-set comparison found.
+        self.verified = Some(snap);
+        result
     }
 }
 
@@ -535,6 +572,42 @@ mod tests {
         let dead = NodeId::from_binary("0001").unwrap();
         assert_eq!(svc.attempt_redundant(dead, d, 4).delivered_paths, 0);
         assert_eq!(svc.attempt_redundant(s, dead, 4).delivered_paths, 0);
+    }
+
+    /// The full-scan message for the current snapshot, if it fails.
+    fn full_audit_message(svc: &SafetyService) -> Option<String> {
+        let snap = svc.snapshot();
+        let node = snap.data.map.check_fixed_point(&snap.data.cfg)?;
+        Some(format!(
+            "epoch {}: published map is not the fixed point of its config at node {node}",
+            snap.epoch
+        ))
+    }
+
+    #[test]
+    fn delta_audit_fails_a_corrupt_epoch_and_every_epoch_on_top() {
+        let cube = Hypercube::new(6);
+        let mut svc = SafetyService::new(FaultConfig::fault_free(cube));
+        assert!(svc.check_invariants().is_ok(), "base case: full audit");
+        // Publish epoch 1 with node 0 one level short of safe.
+        svc.epochs().update(|parent| {
+            let mut store = parent.data.map.store().clone();
+            store.set(0, 5);
+            SafetyState {
+                cfg: parent.data.cfg.clone(),
+                map: SafetyMap::from_store(cube, store),
+            }
+        });
+        let expected = full_audit_message(&svc).expect("the full scan sees it");
+        assert_eq!(svc.check_invariants(), Err(expected));
+        // An honest churn far away: one fault demotes nobody, so the
+        // delta leaves node 0 as wrong as it was. Had `verified`
+        // advanced to the corrupt epoch 1, the diff would hold only
+        // node 63 and its neighbors, and this check would pass.
+        assert!(svc.apply_churn(NodeId::new(63), true));
+        assert_eq!(svc.publish_next(), Some(2));
+        let expected = full_audit_message(&svc).expect("corruption carried over");
+        assert_eq!(svc.check_invariants(), Err(expected));
     }
 
     #[test]

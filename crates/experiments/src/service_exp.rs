@@ -107,6 +107,9 @@ struct DimOutcome {
     cells_changed: u64,
     end_time: u64,
     violations: Vec<String>,
+    /// 1 when the full Definition-1 scan, the oracle behind the
+    /// service's delta-scoped audits, rejects the final published map.
+    oracle_misses: u64,
     /// Per-request terminal data for the obs snapshot.
     hops: QuantileHist,
     attempts_hist: QuantileHist,
@@ -127,6 +130,10 @@ fn soak_dim(p: &ServiceParams, n: u8) -> DimOutcome {
     let mut svc = RoutingService::new(provider, p.service);
     svc.load(&injections);
     svc.run();
+    // The service audits each epoch against its last proven one; the
+    // full scan on the final epoch holds that chain to the oracle.
+    let last = svc.provider().snapshot();
+    let oracle_misses = u64::from(last.data.map.check_fixed_point(&last.data.cfg).is_some());
 
     let mut checksum = 0xcbf2_9ce4_8422_2325u64;
     let mut unterminated = 0u64;
@@ -169,6 +176,7 @@ fn soak_dim(p: &ServiceParams, n: u8) -> DimOutcome {
         cells_changed: svc.provider().cells_changed(),
         end_time: svc.now(),
         violations: svc.violations().to_vec(),
+        oracle_misses,
         hops,
         attempts_hist,
     }
@@ -204,7 +212,7 @@ pub fn run(p: &ServiceParams) -> ServiceRun {
     for &n in &p.dims {
         let o = soak_dim(p, n);
         let s = &o.stats;
-        failures += s.invariant_violations + o.unterminated + o.deadline_overruns;
+        failures += s.invariant_violations + o.unterminated + o.deadline_overruns + o.oracle_misses;
 
         let rungs: [(&str, u64, &QuantileHist, String); 6] = [
             (
@@ -297,6 +305,11 @@ pub fn run(p: &ServiceParams) -> ServiceRun {
         ]);
         for v in &o.violations {
             rep.note(format!("n={n} violation: {v}"));
+        }
+        if o.oracle_misses > 0 {
+            rep.note(format!(
+                "n={n} violation: the full audit rejects the final epoch's map"
+            ));
         }
 
         obs.latency.merge(&s.lat_optimal);

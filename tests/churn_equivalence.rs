@@ -2,7 +2,8 @@
 //! engine: after *any* random fault/recover churn sequence, the
 //! incrementally-maintained map must be byte-identical to a
 //! from-scratch [`SafetyMap::compute`] at every step — and the
-//! distributed delta-GS actor run must land on the same map.
+//! distributed delta-GS actor run must land on the same map. The
+//! delta-scoped audit is held to the full one on the same churn.
 
 use hypersafe::safety::{run_delta_gs, ChurnEvent, SafetyMap};
 use hypersafe::topology::{FaultConfig, Hypercube, NodeId};
@@ -79,6 +80,92 @@ proptest! {
             let run = run_delta_gs(&cfg, &prev, ev, 1);
             prop_assert_eq!(run.map.store(), map.store());
             prop_assert!(run.monotone, "delta-GS levels moved against the event's direction");
+        }
+    }
+}
+
+/// The cells whose level or fault bit differs between two epochs —
+/// the audit's `D`, recomputed here by a plain per-node scan.
+fn changed_cells(
+    cfg: &FaultConfig,
+    map: &SafetyMap,
+    parent_cfg: &FaultConfig,
+    parent: &SafetyMap,
+) -> Vec<NodeId> {
+    cfg.cube()
+        .nodes()
+        .filter(|&a| {
+            map.level(a) != parent.level(a) || cfg.node_faulty(a) != parent_cfg.node_faulty(a)
+        })
+        .collect()
+}
+
+/// `map` with the level at `a` replaced by a different legal one.
+fn plant_wrong_level(map: &SafetyMap, a: NodeId) -> SafetyMap {
+    let mut store = map.store().clone();
+    let n = map.dim();
+    store.set(a.raw(), (map.level(a) + 1) % (n + 1));
+    SafetyMap::from_store(Hypercube::new(n), store)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The delta-scoped audit returns what the full scan returns at
+    /// every churn step: `None` on the honest epoch, and the same
+    /// lowest violating node when one wrong level is planted in `D`,
+    /// next to `D`, or away from `D ∪ N(D)`.
+    #[test]
+    fn delta_audit_matches_full_audit_at_every_step(
+        n in 3u8..=10,
+        words in proptest::collection::vec(any::<u64>(), 1..=16),
+    ) {
+        let cube = Hypercube::new(n);
+        let mut cfg = FaultConfig::fault_free(cube);
+        let mut map = SafetyMap::compute(&cfg);
+        for &word in words.iter().take(2 * n as usize) {
+            let (parent_cfg, parent) = (cfg.clone(), map.clone());
+            match decode_event(&cfg, word) {
+                ChurnEvent::Fault(a) => {
+                    cfg.node_faults_mut().insert(a);
+                    map.apply_fault(&cfg, a);
+                }
+                ChurnEvent::Recover(a) => {
+                    cfg.node_faults_mut().remove(a);
+                    map.apply_recover(&cfg, a);
+                }
+            }
+            prop_assert_eq!(
+                map.check_fixed_point_since(&cfg, &parent, &parent_cfg),
+                map.check_fixed_point(&cfg)
+            );
+            prop_assert_eq!(map.check_fixed_point(&cfg), None);
+
+            let d = changed_cells(&cfg, &map, &parent_cfg, &parent);
+            prop_assert!(!d.is_empty(), "a churn event always flips a fault bit");
+            let in_d = |a: NodeId| d.contains(&a);
+            let near_d = |a: NodeId| in_d(a) || cube.neighbors(a).any(in_d);
+            let pick = word.rotate_left(29);
+            let inside = d[(pick % d.len() as u64) as usize];
+            let neighbors: Vec<NodeId> = d
+                .iter()
+                .flat_map(|&c| cube.neighbors(c))
+                .filter(|&a| !in_d(a))
+                .collect();
+            let far: Vec<NodeId> = cube.nodes().filter(|&a| !near_d(a)).collect();
+            let mut plants = vec![inside];
+            if !neighbors.is_empty() {
+                plants.push(neighbors[(pick % neighbors.len() as u64) as usize]);
+            }
+            if !far.is_empty() {
+                plants.push(far[(pick % far.len() as u64) as usize]);
+            }
+            for a in plants {
+                let bad = plant_wrong_level(&map, a);
+                let full = bad.check_fixed_point(&cfg);
+                prop_assert!(full.is_some(), "Theorem 1: a second fixed point at {}", a);
+                prop_assert_eq!(bad.check_fixed_point_since(&cfg, &parent, &parent_cfg), full);
+            }
         }
     }
 }
